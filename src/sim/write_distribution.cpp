@@ -26,11 +26,10 @@ DistributionResult raa_write_distribution(const pcm::PcmConfig& cfg,
   }
 
   DistributionResult res;
-  const auto counts = mc.bank().wear_counts();
-  res.wear.assign(counts.begin(), counts.end());
-  res.cumulative = normalized_cumulative(res.wear, points);
+  const auto wear = mc.bank().wear_counts();
+  res.cumulative = normalized_cumulative(wear, points);
   res.linearity_deviation = cumulative_linearity_deviation(res.cumulative);
-  res.metrics = compute_wear_metrics(res.wear);
+  res.metrics = compute_wear_metrics(wear);
   return res;
 }
 

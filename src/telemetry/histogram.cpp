@@ -51,12 +51,16 @@ u64 LogHistogram::quantile(double q) const {
   // product is exact for every realistic count and identical on every
   // IEEE-754 platform, so serialized quantiles stay deterministic.
   const u64 rank = static_cast<u64>(q * static_cast<double>(count_ - 1));
+  // A bucket's lower bound can lie below the smallest sample (or, for the
+  // top bucket, above nothing); clamping keeps every quantile inside the
+  // observed [min, max].
+  const auto clamped = [this](u64 v) { return std::clamp(v, min_, max_); };
   u64 cum = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     cum += counts_[i];
-    if (cum > rank) return bucket_lo(static_cast<u32>(i));
+    if (cum > rank) return clamped(bucket_lo(static_cast<u32>(i)));
   }
-  return bucket_lo(static_cast<u32>(counts_.size()) - 1);
+  return clamped(bucket_lo(static_cast<u32>(counts_.size()) - 1));
 }
 
 void LogHistogram::clear() {

@@ -64,6 +64,23 @@ TEST(LogHistogram, QuantilesOnKnownData) {
   EXPECT_EQ(h.quantile(1.0), LogHistogram::bucket_lo(LogHistogram::bucket_index(100)));
 }
 
+TEST(LogHistogram, QuantilesStayWithinObservedSamples) {
+  // 1000 lives in bucket [960, 1024): the bucket's lower bound is below
+  // every sample, so each quantile clamps up to the minimum.
+  LogHistogram h;
+  for (const u64 v : {u64{1000}, u64{1001}, u64{1003}, u64{1010}}) h.record(v);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_GE(h.quantile(q), h.min()) << "q " << q;
+    EXPECT_LE(h.quantile(q), h.max()) << "q " << q;
+  }
+  EXPECT_EQ(h.quantile(0.5), 1000u);
+  LogHistogram mixed;
+  mixed.record(250, 3);
+  mixed.record(2125);
+  EXPECT_EQ(mixed.quantile(0.5), 250u);  // bucket [240, 256) clamps to 250
+  EXPECT_EQ(mixed.quantile(1.0), LogHistogram::bucket_lo(LogHistogram::bucket_index(2125)));
+}
+
 TEST(LogHistogram, EmptyHistogramIsZero) {
   const LogHistogram h;
   EXPECT_TRUE(h.empty());

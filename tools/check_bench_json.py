@@ -331,8 +331,8 @@ def validate_perf_stall(doc: dict) -> str:
             h = sc.get(hist)
             require(isinstance(h, dict), f"{where}: {hist} must be an object")
             require_fields(h, HIST_FIELDS, f"{where}.{hist}")
-            require(h["p50"] <= h["p99"] <= h["p999"] <= h["max"],
-                    f"{where}.{hist}: quantiles must be non-decreasing")
+            require(h["min"] <= h["p50"] <= h["p99"] <= h["p999"] <= h["max"],
+                    f"{where}.{hist}: quantiles must be non-decreasing within [min, max]")
         require(sc["write_ns"]["count"] > 0, f"{where}: write_ns histogram is empty")
 
     require(schemes[0]["scheme"] == "rbsg", "schemes[0] must be the rbsg baseline")
