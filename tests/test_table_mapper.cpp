@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 #include "mapping/quality.hpp"
 
@@ -40,6 +42,15 @@ TEST(TableMapper, NearIdealAvalanche) {
   Rng rng(10);
   const auto q = measure_quality(m, 4000, 16, rng);
   EXPECT_NEAR(q.avalanche, 0.5, 0.05);
+}
+
+TEST(TableMapper, RangeCopiesTheInverseTable) {
+  Rng rng(12);
+  TableMapper m(9, rng);
+  std::vector<u32> inv(100);
+  m.unmap_range(300, inv);
+  for (u64 i = 0; i < inv.size(); ++i) EXPECT_EQ(inv[i], m.unmap(300 + i));
+  EXPECT_THROW(m.unmap_range(500, inv), CheckFailure);
 }
 
 TEST(TableMapper, RejectsHugeWidth) {
